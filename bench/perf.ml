@@ -1,12 +1,14 @@
 (* Performance proof suite (BENCH_perf.json).
 
-   Three measurements back the calendar overhaul and the domain
+   Four measurements back the calendar overhaul and the domain
    fan-out:
    - timer-storm: the soft-state calendar access pattern (insert a
      refresh timer, cancel most before they fire, pop the rest) on the
      current Softstate_util.Heap versus a verbatim copy of the seed's
      boxed-slot heap, measured in the same process — so the reported
      speedup is machine-independent and CI can gate on it;
+   - the periodic calendar: steady-state Engine.step cost with 10^3
+     and 10^5 live periodic timers, in ns and minor words per event;
    - an end-to-end fig5-style experiment run (simulated seconds and
      engine events per wall second);
    - a 16-replication sweep with --jobs 1 versus --jobs 4 (wall
@@ -14,7 +16,9 @@
 
    Quick mode (PERF_QUICK=1) shrinks the workloads for CI and checks
    the measured timer-storm speedup against the committed
-   BENCH_perf.json baseline, failing on a >30% regression. *)
+   BENCH_perf.json baseline, failing on a >30% regression, and fails
+   if the periodic calendar's words per event at 10^5 live timers
+   exceed twice those at 10^3. *)
 
 module Rng = Softstate_util.Rng
 module Heap = Softstate_util.Heap
@@ -227,8 +231,35 @@ let fanout_storm ~arity ~depth ~packets =
   assert (!delivered = packets * receivers);
   (receivers, !delivered)
 
-(* Engine-level storm: periodic refresh timers on the wheel plus
-   one-shot deaths on the heap, most cancelled before firing. *)
+(* Periodic calendar: [live] Engine.every timers with periods in
+   [5, 6) s. After a warm-up in which every timer fires and rearms
+   once, time and count minor words over [steps] steady-state steps
+   (pop the root, run the callback, rearm). Returns (ns, words) per
+   event. *)
+let periodic_calendar ~live ~steps =
+  let e = Engine.create () in
+  let g = Rng.create 11 in
+  for _ = 1 to live do
+    let (_ : unit -> bool) =
+      Engine.every e ~period:(5.0 +. Rng.float g) (fun _ -> ())
+    in
+    ()
+  done;
+  for _ = 1 to live do
+    ignore (Engine.step e)
+  done;
+  let w0 = Gc.minor_words () in
+  let t0 = wall () in
+  for _ = 1 to steps do
+    ignore (Engine.step e)
+  done;
+  let dt = wall () -. t0 in
+  let dw = Gc.minor_words () -. w0 in
+  let n = float_of_int steps in
+  (dt *. 1e9 /. n, dw /. n)
+
+(* Engine-level storm: periodic refresh timers plus one-shot deaths,
+   most cancelled before firing. *)
 let engine_storm ~records =
   let e = Engine.create () in
   let g = Rng.create 7 in
@@ -337,14 +368,42 @@ let run () =
     end
   in
 
-  (* 2. engine timer storm (wheel periodics + heap one-shots) *)
+  (* 2. periodic calendar at two occupancies. Words per event are
+     deterministic and gated in quick mode: they must not grow with
+     the number of live timers. ns per event is recorded ungated, as
+     cache misses make it grow with the heap's footprint. *)
+  let cal_steps = if q then 20_000 else 200_000 in
+  let cal_small_ns, cal_small_words =
+    periodic_calendar ~live:1_000 ~steps:cal_steps
+  in
+  let cal_large_ns, cal_large_words =
+    periodic_calendar ~live:100_000 ~steps:cal_steps
+  in
+  Printf.printf "periodic     10^3 live  %8.1f ns/event  %6.1f words/event\n"
+    cal_small_ns cal_small_words;
+  Printf.printf "periodic     10^5 live  %8.1f ns/event  %6.1f words/event\n"
+    cal_large_ns cal_large_words;
+  if q then begin
+    let ceiling = 2.0 *. cal_small_words in
+    Printf.printf
+      "calendar gate: %.1f words/event at 10^5 vs %.1f at 10^3 (ceiling %.1f)\n"
+      cal_large_words cal_small_words ceiling;
+    if cal_large_words > ceiling then begin
+      prerr_endline
+        "FAIL: periodic calendar words/event at 10^5 live timers exceed 2x \
+         those at 10^3";
+      exit 1
+    end
+  end;
+
+  (* 3. engine timer storm (periodics + one-shots) *)
   let records = if q then 2_000 else 10_000 in
   let fired, eng_s = timed (fun () -> engine_storm ~records) in
   let eng_rate = float_of_int fired /. eng_s in
   Printf.printf "engine storm %10.0f events/s  (%d events, %.3f s)\n"
     eng_rate fired eng_s;
 
-  (* 3. end-to-end fig5-style run *)
+  (* 4. end-to-end fig5-style run *)
   let cfg =
     if q then { fig5_config with E.duration = 800.0 } else fig5_config
   in
@@ -354,7 +413,7 @@ let run () =
     (cfg.E.duration /. e2e_s)
     r.E.avg_consistency;
 
-  (* 4. parallel replication sweep: 16 replications, jobs 1 vs N *)
+  (* 5. parallel replication sweep: 16 replications, jobs 1 vs N *)
   let reps = 16 in
   let sweep_cfg = { cfg with E.duration = (if q then 400.0 else 1500.0) } in
   let s1, wall1 =
@@ -394,7 +453,7 @@ let run () =
   Printf.printf "sweep        consistency %.4f +/- %.4f (identical at any job count)\n"
     s1.E.consistency_mean s1.E.consistency_ci95;
 
-  (* 5. topology fan-out: k-ary multicast tree, >= 1k receivers *)
+  (* 6. topology fan-out: k-ary multicast tree, >= 1k receivers *)
   let fan_arity = 4 and fan_depth = 5 in
   let fan_packets = if q then 100 else 500 in
   let (fan_receivers, fan_deliveries), fan_s =
@@ -406,7 +465,7 @@ let run () =
     "tree fan-out %10.0f deliveries/s  (%d-ary depth %d, %d receivers, %d pkts, %.3f s)\n"
     fan_rate fan_arity fan_depth fan_receivers fan_packets fan_s;
 
-  (* 6. large-topo: the flat struct-of-arrays substrate at 10^5 nodes —
+  (* 7. large-topo: the flat struct-of-arrays substrate at 10^5 nodes —
      build time, live heap (Gc-measured) and gossip contact throughput
      on a sparse random graph and a deep binary tree. Edge probability
      keeps the mean degree at 4 across scales. *)
@@ -482,6 +541,11 @@ let run () =
          ("storm_ops_per_s", Json.float new_rate);
          ("storm_speedup", Json.float speedup);
          ("storm_speedup_quick", Json.float speedup_quick);
+         ("periodic_steps", Json.int cal_steps);
+         ("periodic_1e3_ns_per_event", Json.float cal_small_ns);
+         ("periodic_1e3_words_per_event", Json.float cal_small_words);
+         ("periodic_1e5_ns_per_event", Json.float cal_large_ns);
+         ("periodic_1e5_words_per_event", Json.float cal_large_words);
          ("engine_storm_events", Json.int fired);
          ("engine_storm_events_per_s", Json.float eng_rate);
          ("fig5_sim_s", Json.float cfg.E.duration);

@@ -6,7 +6,7 @@
    path, then gates on live-heap *flatness*: after warmup, a
    least-squares fit of Gc live words against simulated time must have
    negligible slope. Any per-key structure that leaks (receiver rows,
-   wheel timers, seq maps, engine calendar entries) shows up as a
+   expiry timers, seq maps, engine calendar entries) shows up as a
    positive drift over the hours-long measurement window.
 
    Shape of the run:

@@ -1,5 +1,5 @@
 module Engine = Softstate_sim.Engine
-module Expiry_wheel = Softstate_sim.Expiry_wheel
+module Heap = Softstate_util.Heap
 module Rng = Softstate_util.Rng
 
 type announcement = {
@@ -79,7 +79,7 @@ type t = {
   update_rng : Rng.t;
   table : Table.t;
   store : store;
-  wheel : (int * Record.key) Expiry_wheel.t;
+  deadlines : (int * Record.key) Heap.t;
   mutable wheel_event : (Engine.event * float) option;
   tracker : Consistency.t;
   workload : Workload.t;
@@ -196,7 +196,7 @@ let create ~engine ~rng ~workload ~death ?(receivers = 1)
     update_rng = Rng.split rng;
     table = Table.create ();
     store;
-    wheel = Expiry_wheel.create ~start:(Engine.now engine) ();
+    deadlines = Heap.create ();
     wheel_event = None;
     tracker; workload; death; expiry; next_key = 0;
     on_arrival = ignore; on_death = ignore; hooks_set = false;
@@ -281,7 +281,7 @@ let remove_record t ~now r =
       (* Slot-indexed rows cannot outlive the slot: the dying record's
          row is reclaimed here, in lockstep with Table's swap-remove.
          Under wheel expiry an armed timer for the dead key stays in
-         the wheel and is counted as stale_purged when it surfaces —
+         the deadline heap and is counted as stale_purged when it surfaces —
          the same garbage-collection event the sweep counts, observed
          at timer-fire time instead of scan time. *)
       let slot =
@@ -387,16 +387,16 @@ let sweep_receiver t ~now ~multiple receiver =
 
 (* --- wheel-based expiry -------------------------------------------
 
-   One Expiry_wheel of (receiver, key) deadlines, driven by a single
-   armed Engine one-shot at the wheel's next-due time. Timers are
+   One Heap of (receiver, key) deadlines, driven by a single armed
+   Engine one-shot at the heap's earliest deadline. Timers are
    lazy-pushback: a delivery never reschedules an armed timer, it only
    refreshes the row; when the timer fires, the true deadline is
    recomputed from the row and the timer is pushed back if the record
    has been heard from since. A timer is armed exactly when the row's
    armed bit is set, so each (receiver, key) has at most one live
-   wheel entry.
+   heap entry.
 
-   Contract vs the sweep: the wheel fires at the deadline itself, so a
+   Contract vs the sweep: the timer fires at the deadline itself, so a
    record is expired when now - last_heard >= multiple * gap (the
    sweep, sampling at sweep_period boundaries, tests with strict >
    some time after the deadline has passed). Dead keys cannot linger
@@ -416,9 +416,9 @@ let rec drive_wheel t engine =
   let now = Engine.now engine in
   t.wheel_event <- None;
   let rec loop () =
-    match Expiry_wheel.next_due t.wheel with
+    match Heap.min_key t.deadlines with
     | Some due when due <= now -> (
-        match Expiry_wheel.pop t.wheel with
+        match Heap.pop t.deadlines with
         | Some (_, (receiver, key)) ->
             fire_expiry t ~now receiver key;
             loop ()
@@ -455,14 +455,13 @@ and fire_expiry t ~now receiver key =
         else
           (* heard from since the timer was set: push back to the
              recomputed deadline (the armed bit stays set) *)
-          ignore (Expiry_wheel.schedule t.wheel ~time:deadline (receiver, key))
+          ignore (Heap.insert t.deadlines ~key:deadline (receiver, key))
       end
 
-(* (Re)arm the single engine one-shot at the wheel's next-due time.
-   Only called after a drive drains the due prefix, so the O(levels *
-   slots) next_due scan runs once per firing batch, not per event. *)
+(* (Re)arm the single engine one-shot at the heap's earliest deadline,
+   once per firing batch after a drive drains the due prefix. *)
 and rearm_wheel t ~now =
-  match Expiry_wheel.next_due t.wheel with
+  match Heap.min_key t.deadlines with
   | None -> ()
   | Some due ->
       let after = Float.max 0.0 (due -. now) in
@@ -588,7 +587,7 @@ let deliver t ~now ~receiver ann =
                   (* first defined gap estimate: arm the expiry timer *)
                   let deadline = now +. (multiple *. gap) in
                   ignore
-                    (Expiry_wheel.schedule t.wheel ~time:deadline
+                    (Heap.insert t.deadlines ~key:deadline
                        (receiver, ann.key));
                   soa_set_flags soa slot ~present:true ~armed:true;
                   note_deadline t ~now ~deadline

@@ -40,8 +40,8 @@ type death_spec =
     the historical periodic sweep: O(keys) per sweep_period, expiry
     observed at the first scan after the deadline (strict [>] test),
     dead-at-sender copies lingering in receiver maps until swept.
-    {!Refresh_wheel} arms one hierarchical timing-wheel timer per
-    (receiver, key) and is O(1) amortised per event: expiry fires at
+    {!Refresh_wheel} arms one deadline timer per (receiver, key) in
+    an indexed heap and is O(log n) per event: expiry fires at
     the deadline itself ([now - last_heard >= multiple * gap]), and
     dead-at-sender copies are reclaimed when the sender's slot is
     recycled, with the orphaned timer firing counted as

@@ -1,10 +1,9 @@
 module Heap = Softstate_util.Heap
-module Wheel = Timer_wheel
 
 type t = {
   mutable clock : float;
   calendar : (t -> unit) Heap.t;
-  wheel : (t -> unit) Wheel.t;
+  periodics : (t -> unit) Heap.t;
   mutable events_fired : int;
   mutable high_water : int;
   mutable on_step : (t -> unit) option;
@@ -12,25 +11,24 @@ type t = {
 
 type event = Heap.handle
 
-(* A self-rearming wheel entry. [timer] is the currently armed
-   occurrence (None only transiently, inside the firing callback);
-   [stopped] makes cancellation idempotent and stops rearming if the
-   cancel lands while the callback is running. *)
+(* A self-rearming entry on [periodics]. [timer] is the currently
+   armed occurrence; it is dead while the firing callback runs, so a
+   cancel from inside the callback finds nothing pending. [stopped]
+   makes cancellation idempotent and stops rearming if the cancel
+   lands while the callback is running. *)
 type periodic = {
-  mutable timer : Wheel.timer option;
+  mutable timer : Heap.handle;
   mutable stopped : bool;
 }
 
-let create ?(start = 0.0) ?wheel_slots ?wheel_granularity () =
+let create ?(start = 0.0) () =
   { clock = start;
     calendar = Heap.create ();
-    wheel =
-      Wheel.create ?slots:wheel_slots ?granularity:wheel_granularity
-        ~start ();
+    periodics = Heap.create ();
     events_fired = 0; high_water = 0; on_step = None }
 
 let now t = t.clock
-let pending t = Heap.length t.calendar + Wheel.length t.wheel
+let pending t = Heap.length t.calendar + Heap.length t.periodics
 
 let note_depth t =
   let depth = pending t in
@@ -63,49 +61,43 @@ let fire t time f =
   f t;
   match t.on_step with None -> () | Some g -> g t
 
-(* Determinism contract: at equal timestamps, calendar events fire
-   before wheel timers ([due_before] is strict), and each source is
-   FIFO within itself. The event order is identical to the previous
-   min_key/pop_before/pop sequence; only the boxing is gone — limit
-   reads without an option, the wheel hands back its own entry record,
-   and the calendar root is read through the heap's slot protocol
-   instead of an option-of-tuple per popped event. *)
+(* Determinism contract: at equal timestamps, one-shot events fire
+   before periodics (the periodic root must be strictly earlier), and
+   each class is FIFO by its heap's insertion sequence. Both roots are
+   read through the heap's slot protocol, so a step builds no option
+   or tuple. *)
+let[@hot] fire_root t heap slot =
+  let time = Heap.top_key heap in
+  let f = Heap.slot_value heap slot in
+  Heap.drop_top heap;
+  fire t time f
+
 let[@hot] step t =
   let limit = Heap.min_key_or t.calendar ~default:infinity in
-  match Wheel.due_before t.wheel ~limit with
-  | Some e ->
-      Wheel.take_entry t.wheel e;
-      fire t (Wheel.entry_time e) (Wheel.entry_value e);
+  let slot = Heap.top t.periodics in
+  if slot >= 0 && Heap.top_key t.periodics < limit then begin
+    fire_root t t.periodics slot;
+    true
+  end
+  else begin
+    let slot = Heap.top t.calendar in
+    if slot < 0 then false
+    else begin
+      fire_root t t.calendar slot;
       true
-  | None ->
-      let slot = Heap.top t.calendar in
-      if slot < 0 then false
-      else begin
-        let time = Heap.top_key t.calendar in
-        let f = Heap.slot_value t.calendar slot in
-        Heap.drop_top t.calendar;
-        fire t time f;
-        true
-      end
+    end
+  end
 
 let next_time t =
-  match Heap.min_key t.calendar, Wheel.next_due t.wheel with
-  | None, None -> None
-  | (Some _ as k), None | None, (Some _ as k) -> k
-  | Some a, Some b -> Some (Float.min a b)
+  Float.min
+    (Heap.min_key_or t.calendar ~default:infinity)
+    (Heap.min_key_or t.periodics ~default:infinity)
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-      let rec loop () =
-        match next_time t with
-        | Some time when time <= horizon ->
-            ignore (step t);
-            loop ()
-        | Some _ | None -> ()
-      in
-      loop ();
+      while next_time t <= horizon && step t do () done;
       if t.clock < horizon then t.clock <- horizon
 
 let schedule_periodic t ~period ?jitter f =
@@ -120,16 +112,14 @@ let schedule_periodic t ~period ?jitter f =
           invalid_arg "Engine.schedule_periodic: jitter exceeds period";
         d
   in
-  let p = { timer = None; stopped = false } in
-  let rec arm engine =
+  let p = { timer = Heap.nil; stopped = false } in
+  (* one firing closure per timer, reused by every occurrence *)
+  let rec tick engine =
+    f engine;
+    if not p.stopped then arm engine
+  and arm engine =
     p.timer <-
-      Some
-        (Wheel.schedule engine.wheel
-           ~time:(engine.clock +. delay ())
-           (fun engine ->
-             p.timer <- None;
-             f engine;
-             if not p.stopped then arm engine));
+      Heap.insert engine.periodics ~key:(engine.clock +. delay ()) tick;
     note_depth engine
   in
   arm t;
@@ -139,11 +129,7 @@ let cancel_periodic t p =
   if p.stopped then false
   else begin
     p.stopped <- true;
-    match p.timer with
-    | None -> false
-    | Some timer ->
-        p.timer <- None;
-        Wheel.cancel t.wheel timer
+    Heap.remove t.periodics p.timer
   end
 
 let every t ~period ?jitter f =

@@ -10,12 +10,12 @@
     services, timers) are ordinary closures that reschedule
     themselves.
 
-    Two calendars back the engine: a binary heap for one-shot events
-    and a hashed timing wheel for the periodic-refresh class
-    ([schedule_periodic] / [every]), where schedule and cancel are
-    O(1). Determinism contract: events fire in (time, source, FIFO)
-    order — at equal timestamps every heap event precedes every wheel
-    timer, and each source is FIFO within itself. *)
+    Two indexed heaps ({!Softstate_util.Heap}) back the engine: one
+    for one-shot events and one for the periodic-refresh class
+    ([schedule_periodic] / [every]). Insert and extract are O(log n),
+    cancel is O(1). Determinism contract: events fire in (time, class,
+    FIFO) order — at equal timestamps every one-shot precedes every
+    periodic, and each class is FIFO within itself. *)
 
 type t
 
@@ -23,14 +23,11 @@ type event
 (** Cancellable reference to a scheduled callback. *)
 
 type periodic
-(** Cancellable reference to a recurring timer on the wheel. *)
+(** Cancellable reference to a recurring timer. *)
 
-val create :
-  ?start:float -> ?wheel_slots:int -> ?wheel_granularity:float -> unit -> t
+val create : ?start:float -> unit -> t
 (** [create ~start ()] makes an engine whose clock starts at [start]
-    (default 0). [wheel_slots] and [wheel_granularity] size the timing
-    wheel (defaults 256 slots of 0.25 s); periods beyond the wheel's
-    span still work, via its overflow heap. *)
+    (default 0). *)
 
 val now : t -> float
 (** Current simulation time. *)
@@ -75,9 +72,11 @@ val run : ?until:float -> t -> unit
 val schedule_periodic :
   t -> period:float -> ?jitter:(unit -> float) -> (t -> unit) -> periodic
 (** [schedule_periodic t ~period f] arms a recurring timer on the
-    timing wheel: [f] runs at now + period, then repeatedly each
+    periodic heap: [f] runs at now + period, then repeatedly each
     [period] (plus [jitter ()] if given, which must return values
-    > -period). Scheduling and cancelling each occurrence is O(1). *)
+    > -period). Rearming an occurrence is O(log n) and allocates a
+    constant few words whatever the number of live timers; cancelling
+    is O(1). *)
 
 val cancel_periodic : t -> periodic -> bool
 (** Stop a recurrence; [false] if already cancelled or no firing was

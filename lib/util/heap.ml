@@ -59,7 +59,6 @@ let create ?(initial_capacity = min_capacity) () =
     size = 0; ndead = 0; next_seq = 0 }
 
 let length t = t.size - t.ndead
-let is_empty t = t.size = t.ndead
 let capacity t = Array.length t.hkey
 let tombstones t = t.ndead
 
@@ -299,9 +298,3 @@ let clear t =
   end;
   (* always drop payload references so cleared calendars leak nothing *)
   t.value <- [||]
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    let slot = t.hslot.(i) in
-    if not t.dead.(slot) then f t.hkey.(i) t.value.(slot)
-  done

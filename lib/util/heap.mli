@@ -21,12 +21,15 @@ type 'a t
 type handle
 (** Stable reference to an inserted element. *)
 
+val nil : handle
+(** A handle that refers to no element: [mem] is [false] and [remove]
+    returns [false]. Placeholder for a field that is set on first
+    insert. *)
+
 val create : ?initial_capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
 (** Number of live (non-tombstoned) elements. *)
-
-val is_empty : 'a t -> bool
 
 val insert : 'a t -> key:float -> 'a -> handle
 (** [insert t ~key v] adds [v] with priority [key]. *)
@@ -79,9 +82,6 @@ val clear : 'a t -> unit
 (** Empty the heap: invalidates all outstanding handles, resets the
     FIFO sequence counter, drops payload references and shrinks the
     backing arrays back below a fixed threshold. *)
-
-val iter : 'a t -> (float -> 'a -> unit) -> unit
-(** Iterate over the live elements in unspecified order. *)
 
 val capacity : 'a t -> int
 (** Current backing-array length (exposed for tests and benchmarks). *)
