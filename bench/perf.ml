@@ -1,7 +1,7 @@
 (* Performance proof suite (BENCH_perf.json).
 
-   Four measurements back the calendar overhaul and the domain
-   fan-out:
+   These measurements back the calendar overhaul, the obs layer and
+   the domain fan-out:
    - timer-storm: the soft-state calendar access pattern (insert a
      refresh timer, cancel most before they fire, pop the rest) on the
      current Softstate_util.Heap versus a verbatim copy of the seed's
@@ -9,6 +9,9 @@
      speedup is machine-independent and CI can gate on it;
    - the periodic calendar: steady-state Engine.step cost with 10^3
      and 10^5 live periodic timers, in ns and minor words per event;
+   - the obs layer: emitting 10^4 and 10^5 events into a memory sink
+     (minor and major words per event) and Lifecycle.of_event_list
+     over traces of those sizes (ns and words per event);
    - an end-to-end fig5-style experiment run (simulated seconds and
      engine events per wall second);
    - a 16-replication sweep with --jobs 1 versus --jobs 4 (wall
@@ -18,13 +21,16 @@
    the measured timer-storm speedup against the committed
    BENCH_perf.json baseline, failing on a >30% regression, and fails
    if the periodic calendar's words per event at 10^5 live timers
-   exceed twice those at 10^3. *)
+   exceed twice those at 10^3, or if a memory sink's words per event
+   at 10^5 events exceed twice those at 10^4. *)
 
 module Rng = Softstate_util.Rng
 module Heap = Softstate_util.Heap
 module E = Softstate_core.Experiment
 module Engine = Softstate_sim.Engine
 module Json = Softstate_obs.Json
+module Trace = Softstate_obs.Trace
+module Lifecycle = Softstate_obs.Lifecycle
 module Net = Softstate_net
 
 (* The seed repository's heap, kept verbatim as the baseline: boxed
@@ -258,6 +264,73 @@ let periodic_calendar ~live ~steps =
   let n = float_of_int steps in
   (dt *. 1e9 /. n, dw /. n)
 
+(* GC word counts, exact: Gc.counters only accounts the minor heap
+   up to its last collection, so empty it first. Major words include
+   promoted ones, so a word allocated young and kept counts in both,
+   as memprobe's convention has it. *)
+let gc_counts () =
+  Gc.minor ();
+  let minor, _, major = Gc.counters () in
+  (minor, major)
+
+let words_since (m0, j0) =
+  let m1, j1 = gc_counts () in
+  (m1 -. m0, j1 -. j0)
+
+(* A time-ordered soft-state trace of [n] events over 500 keys: an
+   announce or refresh, its delivery over two hops (every 7th packet
+   dropped on the second), and a NACK after each drop. *)
+let synthetic_trace n =
+  let evs = ref [] and len = ref 0 and i = ref 0 in
+  let add ev =
+    if !len < n then begin
+      evs := ev :: !evs;
+      incr len
+    end
+  in
+  while !len < n do
+    let t = float_of_int !i *. 0.01 and key = !i mod 500 and packet = !i in
+    let kind = if !i < 500 then Trace.Announce else Trace.Refresh in
+    add (Trace.event ~time:t ~src:"sender" ~key ~packet kind);
+    add (Trace.event ~time:(t +. 0.002) ~src:"topo.e0" ~packet ~hop:1
+           Trace.Packet_delivered);
+    if !i mod 7 = 6 then begin
+      add (Trace.event ~time:(t +. 0.004) ~src:"topo.e1" ~detail:"loss"
+             ~packet ~hop:2 Trace.Packet_dropped);
+      add (Trace.event ~time:(t +. 0.006) ~src:"feedback" ~key ~parent:packet
+             Trace.Nack)
+    end
+    else
+      add (Trace.event ~time:(t +. 0.004) ~src:"topo.e1" ~packet ~hop:2
+             Trace.Packet_delivered);
+    incr i
+  done;
+  List.rev !evs
+
+(* Memory-sink cost per event emitted: the events are built before the
+   count starts, so the figures are the sink's own (ring growth). The
+   capacity is the fuzz scenarios', so nothing is overwritten. *)
+let sink_emit evs =
+  let sink = Trace.memory ~capacity:(1 lsl 19) () in
+  let c0 = gc_counts () in
+  Array.iter (Trace.emit sink) evs;
+  let minor, major = words_since c0 in
+  let n = float_of_int (Array.length evs) in
+  assert (Trace.seen sink = Array.length evs && Trace.overwritten sink = 0);
+  (minor /. n, major /. n)
+
+(* Lifecycle reconstruction over a time-ordered trace: (ns, minor
+   words, major words) per event. *)
+let lifecycle_cost evs =
+  let c0 = gc_counts () in
+  let t0 = wall () in
+  let lc = Lifecycle.of_event_list evs in
+  let dt = wall () -. t0 in
+  let minor, major = words_since c0 in
+  let n = float_of_int (List.length evs) in
+  assert (Array.length (Lifecycle.events lc) = List.length evs);
+  (dt *. 1e9 /. n, minor /. n, major /. n)
+
 (* Engine-level storm: periodic refresh timers plus one-shot deaths,
    most cancelled before firing. *)
 let engine_storm ~records =
@@ -396,14 +469,48 @@ let run () =
     end
   end;
 
-  (* 3. engine timer storm (periodics + one-shots) *)
+  (* 3. obs layer at two trace sizes (Lifecycle warmed up once first).
+     The sink's words per event are deterministic and gated in quick
+     mode: a ring that grows by doubling costs a constant amortized
+     amount per event. *)
+  let obs_small = synthetic_trace 10_000 and obs_large = synthetic_trace 100_000 in
+  let sink_small_minor, sink_small_major = sink_emit (Array.of_list obs_small) in
+  let sink_large_minor, sink_large_major = sink_emit (Array.of_list obs_large) in
+  ignore (lifecycle_cost obs_small);
+  let lc_small_ns, lc_small_minor, lc_small_major = lifecycle_cost obs_small in
+  let lc_large_ns, lc_large_minor, lc_large_major = lifecycle_cost obs_large in
+  Printf.printf "obs sink     10^4 events  %6.2f minor  %6.2f major words/event\n"
+    sink_small_minor sink_small_major;
+  Printf.printf "obs sink     10^5 events  %6.2f minor  %6.2f major words/event\n"
+    sink_large_minor sink_large_major;
+  Printf.printf
+    "lifecycle    10^4 events  %8.1f ns/event  %6.1f minor  %6.1f major words/event\n"
+    lc_small_ns lc_small_minor lc_small_major;
+  Printf.printf
+    "lifecycle    10^5 events  %8.1f ns/event  %6.1f minor  %6.1f major words/event\n"
+    lc_large_ns lc_large_minor lc_large_major;
+  if q then begin
+    let small = sink_small_minor +. sink_small_major
+    and large = sink_large_minor +. sink_large_major in
+    let ceiling = 2.0 *. small in
+    Printf.printf
+      "obs gate: %.2f words/event at 10^5 vs %.2f at 10^4 (ceiling %.2f)\n"
+      large small ceiling;
+    if large > ceiling then begin
+      prerr_endline
+        "FAIL: memory sink words/event at 10^5 events exceed 2x those at 10^4";
+      exit 1
+    end
+  end;
+
+  (* 4. engine timer storm (periodics + one-shots) *)
   let records = if q then 2_000 else 10_000 in
   let fired, eng_s = timed (fun () -> engine_storm ~records) in
   let eng_rate = float_of_int fired /. eng_s in
   Printf.printf "engine storm %10.0f events/s  (%d events, %.3f s)\n"
     eng_rate fired eng_s;
 
-  (* 4. end-to-end fig5-style run *)
+  (* 5. end-to-end fig5-style run *)
   let cfg =
     if q then { fig5_config with E.duration = 800.0 } else fig5_config
   in
@@ -413,7 +520,7 @@ let run () =
     (cfg.E.duration /. e2e_s)
     r.E.avg_consistency;
 
-  (* 5. parallel replication sweep: 16 replications, jobs 1 vs N *)
+  (* 6. parallel replication sweep: 16 replications, jobs 1 vs N *)
   let reps = 16 in
   let sweep_cfg = { cfg with E.duration = (if q then 400.0 else 1500.0) } in
   let s1, wall1 =
@@ -453,7 +560,7 @@ let run () =
   Printf.printf "sweep        consistency %.4f +/- %.4f (identical at any job count)\n"
     s1.E.consistency_mean s1.E.consistency_ci95;
 
-  (* 6. topology fan-out: k-ary multicast tree, >= 1k receivers *)
+  (* 7. topology fan-out: k-ary multicast tree, >= 1k receivers *)
   let fan_arity = 4 and fan_depth = 5 in
   let fan_packets = if q then 100 else 500 in
   let (fan_receivers, fan_deliveries), fan_s =
@@ -465,7 +572,7 @@ let run () =
     "tree fan-out %10.0f deliveries/s  (%d-ary depth %d, %d receivers, %d pkts, %.3f s)\n"
     fan_rate fan_arity fan_depth fan_receivers fan_packets fan_s;
 
-  (* 7. large-topo: the flat struct-of-arrays substrate at 10^5 nodes —
+  (* 8. large-topo: the flat struct-of-arrays substrate at 10^5 nodes —
      build time, live heap (Gc-measured) and gossip contact throughput
      on a sparse random graph and a deep binary tree. Edge probability
      keeps the mean degree at 4 across scales. *)
@@ -546,6 +653,16 @@ let run () =
          ("periodic_1e3_words_per_event", Json.float cal_small_words);
          ("periodic_1e5_ns_per_event", Json.float cal_large_ns);
          ("periodic_1e5_words_per_event", Json.float cal_large_words);
+         ("obs_sink_1e4_minor_words_per_event", Json.float sink_small_minor);
+         ("obs_sink_1e4_major_words_per_event", Json.float sink_small_major);
+         ("obs_sink_1e5_minor_words_per_event", Json.float sink_large_minor);
+         ("obs_sink_1e5_major_words_per_event", Json.float sink_large_major);
+         ("lifecycle_1e4_ns_per_event", Json.float lc_small_ns);
+         ("lifecycle_1e4_minor_words_per_event", Json.float lc_small_minor);
+         ("lifecycle_1e4_major_words_per_event", Json.float lc_small_major);
+         ("lifecycle_1e5_ns_per_event", Json.float lc_large_ns);
+         ("lifecycle_1e5_minor_words_per_event", Json.float lc_large_minor);
+         ("lifecycle_1e5_major_words_per_event", Json.float lc_large_major);
          ("engine_storm_events", Json.int fired);
          ("engine_storm_events_per_s", Json.float eng_rate);
          ("fig5_sim_s", Json.float cfg.E.duration);

@@ -884,19 +884,31 @@ let sim_metrics metrics ~now =
         || String.starts_with ~prefix:"profile." name))
     (Metrics.snapshot metrics ~now)
 
-let run_core scenario config =
+let flight_size = 512
+
+(* One memory sink per run; the flight recorder is its last
+   [flight_size] events, a shared suffix of [events]. *)
+let traced () =
   let sink = Trace.memory ~capacity:trace_capacity () in
-  let recorder = Trace.recorder () in
-  let obs = Obs.create ~trace:(Trace.tee [ sink; recorder ]) () in
+  (sink, Obs.create ~trace:sink ())
+
+let rec drop n = function
+  | _ :: rest when n > 0 -> drop (n - 1) rest
+  | l -> l
+
+let outcome scenario payload ~horizon sink obs =
+  let events = Trace.events sink in
+  { scenario; payload; horizon; events;
+    events_dropped = Trace.overwritten sink;
+    flight = drop (List.length events - flight_size) events;
+    metrics = sim_metrics (Obs.metrics obs) ~now:horizon }
+
+let run_core scenario config =
+  let sink, obs = traced () in
   let config = { config with Experiment.obs = Some obs; record_series = true } in
   let result = Experiment.run config in
-  { scenario;
-    payload = Core_result result;
-    horizon = config.Experiment.duration;
-    events = Trace.events sink;
-    events_dropped = Trace.overwritten sink;
-    flight = Trace.recent recorder;
-    metrics = sim_metrics (Obs.metrics obs) ~now:config.Experiment.duration }
+  outcome scenario (Core_result result) ~horizon:config.Experiment.duration
+    sink obs
 
 let sstp_path i = Printf.sprintf "grp%d/item%d" (i mod 4) i
 
@@ -904,9 +916,7 @@ let grace_step = 30.0
 let grace_max = 300.0
 
 let run_sstp scenario s =
-  let sink = Trace.memory ~capacity:trace_capacity () in
-  let recorder = Trace.recorder () in
-  let obs = Obs.create ~trace:(Trace.tee [ sink; recorder ]) () in
+  let sink, obs = traced () in
   let engine = Engine.create () in
   let rng = Rng.create s.s_seed in
   let config =
@@ -981,32 +991,19 @@ let run_sstp scenario s =
     end
   in
   let converged_after = grace () in
-  let horizon = Engine.now engine in
-  { scenario;
-    payload = Sstp_result { measured with converged_after };
-    horizon;
-    events = Trace.events sink;
-    events_dropped = Trace.overwritten sink;
-    flight = Trace.recent recorder;
-    metrics = sim_metrics (Obs.metrics obs) ~now:horizon }
+  outcome scenario
+    (Sstp_result { measured with converged_after })
+    ~horizon:(Engine.now engine) sink obs
 
 let run_gossip scenario g =
-  let sink = Trace.memory ~capacity:trace_capacity () in
-  let recorder = Trace.recorder () in
-  let obs = Obs.create ~trace:(Trace.tee [ sink; recorder ]) () in
+  let sink, obs = traced () in
   let result = Experiment.run_gossip ~obs g in
   let horizon =
     match result.Softstate_core.Gossip.series with
     | [||] -> 0.0
     | s -> fst s.(Array.length s - 1)
   in
-  { scenario;
-    payload = Gossip_result result;
-    horizon;
-    events = Trace.events sink;
-    events_dropped = Trace.overwritten sink;
-    flight = Trace.recent recorder;
-    metrics = sim_metrics (Obs.metrics obs) ~now:horizon }
+  outcome scenario (Gossip_result result) ~horizon sink obs
 
 let run = function
   | Core config as scenario -> run_core scenario config

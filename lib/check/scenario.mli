@@ -115,9 +115,10 @@ type outcome = {
   events_dropped : int;
       (** ring overwrites; trace-based oracles skip when non-zero *)
   flight : Softstate_obs.Trace.event list;
-      (** flight-recorder contents: the last few hundred events before
+      (** flight-recorder contents: the last 512 events before
           measurement stopped, oldest first — the black box the fuzzer
-          dumps into its failure log when an oracle fires *)
+          dumps into its failure log when an oracle fires. A shared
+          suffix of [events], not a second recording. *)
   metrics : (string * Softstate_obs.Metrics.value) list;
 }
 

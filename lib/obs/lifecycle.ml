@@ -63,16 +63,17 @@ type t = {
 
 let of_events evs =
   let arr = Array.of_list evs in
+  let by_time (a : Trace.event) (b : Trace.event) =
+    Float.compare a.Trace.time b.Trace.time
+  in
+  let rec ordered i =
+    i + 1 >= Array.length arr
+    || (by_time arr.(i) arr.(i + 1) <= 0 && ordered (i + 1))
+  in
   (* emission order is time order per sink, but a tee of sinks or a
      concatenated file may interleave: restore time order stably *)
-  let idx = Array.mapi (fun i ev -> (i, ev)) arr in
-  Array.sort
-    (fun (i, (a : Trace.event)) (j, b) ->
-      match compare a.Trace.time b.Trace.time with
-      | 0 -> compare i j
-      | c -> c)
-    idx;
-  Array.map snd idx
+  if not (ordered 0) then Array.stable_sort by_time arr;
+  arr
 
 let load_jsonl_lines lines =
   let rec go n acc = function
@@ -348,7 +349,6 @@ let analyse events =
   { events; keys = stats; horizon; nack_spans }
 
 let of_event_list evs = analyse (of_events evs)
-let of_sink sink = of_event_list (Trace.recent sink)
 
 let of_jsonl path =
   match load_jsonl path with

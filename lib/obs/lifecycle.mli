@@ -55,11 +55,10 @@ type key_stats = {
 type t
 
 val of_event_list : Trace.event list -> t
-(** Analyse an event list (sorted into time order first, stably). *)
-
-val of_sink : Trace.t -> t
-(** Analyse the contents of a {!Trace.memory} or {!Trace.recorder}
-    sink. Raises [Invalid_argument] on other sinks. *)
+(** Analyse an event list. Input already in time order, as every
+    {!Trace.memory} sink's events are, is taken as is after one O(n)
+    check; interleaved input (a tee of sinks, concatenated JSONL) is
+    sorted into time order first, stably. *)
 
 val of_jsonl : string -> (t, string) result
 (** Load and analyse a JSONL trace file (one {!Trace.to_json} line per

@@ -85,19 +85,19 @@ let event ~time ~src ?(detail = "") ?(value = 0.0) ?(key = no_id)
     ?(packet = no_id) ?(hop = no_id) ?(parent = no_id) kind =
   { time; src; kind; detail; value; key; packet; hop; parent }
 
-let dummy_event =
-  { time = 0.0; src = ""; kind = Custom ""; detail = ""; value = 0.0;
-    key = no_id; packet = no_id; hop = no_id; parent = no_id }
+type ring = {
+  capacity : int;
+  mutable buf : event array; (* doubles up to [capacity], then wraps *)
+  mutable head : int; (* next write position *)
+  mutable seen : int; (* events ever offered *)
+}
+
+(* events held: all of them until the ring first wraps *)
+let held r = min r.seen (Array.length r.buf)
 
 type t =
   | Null
-  | Memory of { capacity : int; q : event Queue.t; mutable overwritten : int }
-  | Ring of {
-      buf : event array;
-      mutable len : int;
-      mutable head : int; (* next write position *)
-      mutable seen : int;
-    }
+  | Ring of ring
   | Writer of { write : event -> unit }
   | Filter of { keep : event -> bool; next : t }
   | Tee of t list
@@ -107,55 +107,49 @@ let enabled = function Null -> false | _ -> true
 
 let memory ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace.memory: capacity must be positive";
-  Memory { capacity; q = Queue.create (); overwritten = 0 }
+  Ring { capacity; buf = [||]; head = 0; seen = 0 }
 
-let recorder ?(capacity = 512) () =
-  if capacity < 1 then invalid_arg "Trace.recorder: capacity must be positive";
-  Ring { buf = Array.make capacity dummy_event; len = 0; head = 0; seen = 0 }
+let recorder ?(capacity = 512) () = memory ~capacity ()
 
 let rec emit t ev =
   match t with
   | Null -> ()
-  | Memory m ->
-      Queue.add ev m.q;
-      if Queue.length m.q > m.capacity then begin
-        ignore (Queue.pop m.q);
-        m.overwritten <- m.overwritten + 1
-      end
   | Ring r ->
-      let cap = Array.length r.buf in
+      let size = Array.length r.buf in
+      if r.seen = size && size < r.capacity then begin
+        (* never wrapped: the held events sit at [0, size) in order *)
+        let buf = Array.make (min r.capacity (max 16 (2 * size))) ev in
+        Array.blit r.buf 0 buf 0 size;
+        r.buf <- buf;
+        r.head <- size
+      end;
       r.buf.(r.head) <- ev;
-      r.head <- (if r.head + 1 = cap then 0 else r.head + 1);
-      if r.len < cap then r.len <- r.len + 1;
+      r.head <- (if r.head + 1 = Array.length r.buf then 0 else r.head + 1);
       r.seen <- r.seen + 1
   | Writer w -> w.write ev
   | Filter f -> if f.keep ev then emit f.next ev
   | Tee sinks -> List.iter (fun s -> emit s ev) sinks
 
-let recent = function
-  | Ring r ->
-      let cap = Array.length r.buf in
-      let start = (r.head - r.len + cap) mod cap in
-      List.init r.len (fun i -> r.buf.((start + i) mod cap))
-  | Memory m -> List.of_seq (Queue.to_seq m.q)
-  | _ -> invalid_arg "Trace.recent: not a recorder or memory sink"
+let ring name = function
+  | Ring r -> r
+  | _ -> invalid_arg ("Trace." ^ name ^ ": not a memory or recorder sink")
 
-let seen = function
-  | Ring r -> r.seen
-  | _ -> invalid_arg "Trace.seen: not a recorder sink"
+let events t =
+  let r = ring "events" t in
+  let size = Array.length r.buf in
+  let acc = ref [] in
+  (* newest first onto the list, so it comes out oldest first *)
+  for i = 1 to held r do
+    acc := r.buf.((r.head - i + size) mod size) :: !acc
+  done;
+  !acc
 
-let events = function
-  | Memory m -> List.of_seq (Queue.to_seq m.q)
-  | _ -> invalid_arg "Trace.events: not a memory sink"
+let recent = events
+let seen t = (ring "seen" t).seen
 
-let fold t ~init ~f =
-  match t with
-  | Memory m -> Queue.fold f init m.q
-  | _ -> invalid_arg "Trace.fold: not a memory sink"
-
-let overwritten = function
-  | Memory m -> m.overwritten
-  | _ -> invalid_arg "Trace.overwritten: not a memory sink"
+let overwritten t =
+  let r = ring "overwritten" t in
+  r.seen - held r
 
 let filter keep next = Filter { keep; next }
 
@@ -257,7 +251,9 @@ let csv_writer write =
           write (to_csv ev ^ "\n")) }
 
 let count t kind =
-  match t with
-  | Memory m ->
-      Queue.fold (fun acc ev -> if ev.kind = kind then acc + 1 else acc) 0 m.q
-  | _ -> invalid_arg "Trace.count: not a memory sink"
+  let r = ring "count" t in
+  let n = ref 0 in
+  for i = 0 to held r - 1 do
+    if r.buf.(i).kind = kind then incr n
+  done;
+  !n

@@ -1,7 +1,8 @@
 (** Structured event tracing: sim-time-stamped protocol events flowing
     into a pluggable sink.
 
-    Sinks compose: a {!memory} ring for tests, streaming {!jsonl_writer}
+    Sinks compose: a {!memory} ring (one representation, also used
+    as the {!recorder}) for tests and fuzz scenarios, streaming {!jsonl_writer}
     / {!csv_writer} for the CLIs, {!filter} / {!with_src} /
     {!with_kinds} to narrow by component or event kind, {!tee} to fan
     out. {!null} swallows everything; instrumented hot paths guard
@@ -69,36 +70,37 @@ val emit : t -> event -> unit
 
 val memory : ?capacity:int -> unit -> t
 (** In-memory ring keeping the last [capacity] (default 65536)
-    events; older events are overwritten. *)
+    events; older events are overwritten. Its array starts empty and
+    doubles as events arrive, up to [capacity], so a large capacity
+    costs only what the run actually emits. *)
 
 val recorder : ?capacity:int -> unit -> t
-(** Flight recorder: a fixed-size ring of the last [capacity] (default
-    512) events, O(1) per emit with no allocation beyond the event
-    itself. Cheap enough to leave attached for a whole run; when an
-    oracle fires, {!recent} is the black box. *)
+(** Flight recorder: the same ring as {!memory}, with a default
+    capacity of 512. O(1) amortized per emit, no allocation beyond the
+    event itself once the ring is full. Cheap enough to leave attached
+    for a whole run; when an oracle fires, {!recent} is the black box.
+    A run that already keeps a {!memory} sink needs no recorder: the
+    last 512 events of {!events} are the same black box (the fuzz
+    scenarios' [flight] is that shared suffix). *)
 
-val recent : t -> event list
-(** Contents of a {!recorder} (or {!memory}) sink, oldest first.
-    Raises [Invalid_argument] on other sinks. *)
-
-val seen : t -> int
-(** Total events ever offered to a {!recorder}, including those the
-    ring has since overwritten. *)
+(** The readers below accept a {!memory} or {!recorder} sink and raise
+    [Invalid_argument] on any other. *)
 
 val events : t -> event list
-(** Contents of a {!memory} sink, oldest first. Raises
-    [Invalid_argument] on other sinks. *)
+(** The events the ring holds, oldest first. *)
 
-val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
-(** Fold over a {!memory} sink's events, oldest first, without
-    materialising the list — invariant oracles scan long traces this
-    way. Raises [Invalid_argument] on other sinks. *)
+val recent : t -> event list
+(** Same as {!events}. *)
+
+val seen : t -> int
+(** Total events ever offered, including those the ring has since
+    overwritten. *)
 
 val overwritten : t -> int
-(** Events lost to the {!memory} ring's capacity. *)
+(** Events lost to the ring's capacity: [seen t - List.length (events t)]. *)
 
 val count : t -> kind -> int
-(** Occurrences of [kind] in a {!memory} sink. *)
+(** Occurrences of [kind] among the held events. *)
 
 val filter : (event -> bool) -> t -> t
 

@@ -395,6 +395,49 @@ let test_recorder_ring () =
     [ 7.0; 8.0; 9.0; 10.0 ] times;
   Alcotest.(check int) "seen counts everything" 10 (Trace.seen r)
 
+(* The memory and recorder sinks are one ring that grows by doubling
+   (from 16) up to its capacity, then wraps. Against a reference list
+   of everything emitted, every reader must agree at any capacity and
+   emit count, on either side of both boundaries. *)
+let prop_ring_model =
+  let kinds = [| Trace.Announce; Trace.Refresh; Trace.Nack; Trace.Repair |] in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 150 >>= fun capacity ->
+      int_range 0 (3 * capacity + 40) >>= fun n ->
+      list_repeat n (int_bound (Array.length kinds - 1)) >>= fun ks ->
+      bool >>= fun recorder -> return (capacity, ks, recorder))
+  in
+  let print (capacity, ks, recorder) =
+    Printf.sprintf "%s capacity %d, %d emits"
+      (if recorder then "recorder" else "memory")
+      capacity (List.length ks)
+  in
+  QCheck.Test.make ~name:"ring matches a reference list" ~count:500
+    (QCheck.make ~print gen) (fun (capacity, ks, recorder) ->
+      let t =
+        if recorder then Trace.recorder ~capacity ()
+        else Trace.memory ~capacity ()
+      in
+      let emitted =
+        List.mapi
+          (fun i k -> ev ~time:(float_of_int i) ~src:"x" kinds.(k))
+          ks
+      in
+      List.iter (Trace.emit t) emitted;
+      let n = List.length emitted in
+      let held = List.filteri (fun i _ -> i >= n - capacity) emitted in
+      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+      same (Trace.events t) held
+      && same (Trace.recent t) held
+      && Trace.seen t = n
+      && Trace.overwritten t = n - List.length held
+      && Array.for_all
+           (fun k ->
+             Trace.count t k
+             = List.length (List.filter (fun e -> e.Trace.kind = k) held))
+           kinds)
+
 (* ---- flat JSON parser ---- *)
 
 let test_json_parse_flat () =
@@ -536,6 +579,31 @@ let test_lifecycle_reconstruction () =
   | ps ->
       Alcotest.fail
         (Printf.sprintf "expected 2 buckets, got %d" (List.length ps)))
+
+(* Time-ordered input, as a memory sink's events always are, is taken
+   as is; the stable sort is only for interleaved input. *)
+let test_lifecycle_order () =
+  let sink = Trace.memory () in
+  List.iter (Trace.emit sink) lifecycle_fixture;
+  Trace.emit sink (lev ~time:6.5 ~src:"tie" Trace.Summary);
+  let evs = Trace.events sink in
+  let kept = Lifecycle.events (Lifecycle.of_event_list evs) in
+  Alcotest.(check bool) "ordered input comes back unchanged" true
+    (Array.length kept = List.length evs
+    && List.for_all2 ( == ) (Array.to_list kept) evs);
+  (* two time-ordered streams concatenated, as from two JSONL files;
+     the expected order is the stable (time, index) order *)
+  let stream name times =
+    List.mapi
+      (fun i time -> lev ~time ~src:(Printf.sprintf "%s%d" name i) Trace.Summary)
+      times
+  in
+  let a = stream "a" [ 1.0; 2.0; 2.0; 3.0 ]
+  and b = stream "b" [ 0.0; 2.0; 3.0; 3.0 ] in
+  let sorted = Lifecycle.events (Lifecycle.of_event_list (a @ b)) in
+  Alcotest.(check (list string)) "interleaved input is sorted stably"
+    [ "b0"; "a0"; "a1"; "a2"; "b1"; "a3"; "b2"; "b3" ]
+    (Array.to_list (Array.map (fun e -> e.Trace.src) sorted))
 
 let test_lifecycle_jsonl_roundtrip () =
   (* through the writer and back: same reconstruction from a file *)
@@ -806,6 +874,7 @@ let () =
           Alcotest.test_case "correlation fields" `Quick
             test_correlation_fields_json;
           Alcotest.test_case "recorder ring" `Quick test_recorder_ring;
+          QCheck_alcotest.to_alcotest prop_ring_model;
           QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;
           QCheck_alcotest.to_alcotest prop_csv_roundtrip;
         ] );
@@ -815,6 +884,7 @@ let () =
             test_lifecycle_reconstruction;
           Alcotest.test_case "jsonl round-trip" `Quick
             test_lifecycle_jsonl_roundtrip;
+          Alcotest.test_case "time order" `Quick test_lifecycle_order;
           Alcotest.test_case "percentile" `Quick test_percentile;
         ] );
       ( "profiler",
